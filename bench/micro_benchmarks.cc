@@ -192,6 +192,41 @@ BM_OptimizerChoose(benchmark::State &state)
 }
 BENCHMARK(BM_OptimizerChoose);
 
+// The rare decision tiers: a zero-width band is empty at every
+// utilization, so each choose() takes Fallback 1 (best safe point);
+// coldestFallback() is Fallback 2 and the degraded-mode setting.
+void
+BM_OptimizerChooseFallback(benchmark::State &state)
+{
+    cluster::Server server;
+    sched::LookupSpace space(server);
+    thermal::TegModule teg(12);
+    sched::OptimizerParams params;
+    params.band_c = 0.0;
+    sched::CoolingOptimizer opt(space, teg, params);
+    double u = 0.0;
+    for (auto _ : state) {
+        u = u > 0.98 ? 0.0 : u + 0.017;
+        benchmark::DoNotOptimize(opt.choose(u));
+    }
+}
+BENCHMARK(BM_OptimizerChooseFallback);
+
+void
+BM_OptimizerColdest(benchmark::State &state)
+{
+    cluster::Server server;
+    sched::LookupSpace space(server);
+    thermal::TegModule teg(12);
+    sched::CoolingOptimizer opt(space, teg);
+    double u = 0.0;
+    for (auto _ : state) {
+        u = u > 0.98 ? 0.0 : u + 0.017;
+        benchmark::DoNotOptimize(opt.coldestFallback(u));
+    }
+}
+BENCHMARK(BM_OptimizerColdest);
+
 void
 BM_DatacenterStep(benchmark::State &state)
 {

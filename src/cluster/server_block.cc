@@ -96,11 +96,6 @@ ServerBlock::evaluateClean(const double *utils, size_t n,
     const double cap = c.cpu.cap_rate_w_per_k;
     const double t_in = c.t_in_c;
     const double t_cold = c.t_cold_c;
-    const double coupling = c.teg.coupling;
-    const double devices = c.teg.devices;
-    const double pa = c.teg.pfit_a;
-    const double pb = c.teg.pfit_b;
-    const double pc = c.teg.pfit_c;
 
     // Pass 1: utilization -> CPU package power (Eq. 20). The log is
     // the one libm call per server; everything after is straight-line
@@ -133,17 +128,8 @@ ServerBlock::evaluateClean(const double *utils, size_t n,
         outlet[i] = t_in + heat[i] / cap;
 
     // Pass 5: TEG harvest (Eq. 2 + Eq. 6/7 with the Fig. 7 coupling).
-    for (size_t i = 0; i < n; ++i) {
-        const double dt = outlet[i] - t_cold;
-        double p = 0.0;
-        if (dt > 0.0) {
-            const double dt_eff = dt * coupling;
-            if (dt_eff > 0.0)
-                p = devices *
-                    std::max(0.0, (pa * dt_eff + pb) * dt_eff + pc);
-        }
-        teg[i] = p;
-    }
+    for (size_t i = 0; i < n; ++i)
+        teg[i] = c.teg.powerFromTemps(outlet[i], t_cold);
 
     // Pass 6: flags. A clean evaluation never loses harvest.
     for (size_t i = 0; i < n; ++i) {
@@ -179,11 +165,7 @@ ServerBlock::evaluateFaulted(const double *utils, size_t n,
     const double cap = c.cpu.cap_rate_w_per_k;
     const double t_in = c.t_in_c;
     const double t_cold = c.t_cold_c;
-    const double coupling = c.teg.coupling;
     const double devices = c.teg.devices;
-    const double pa = c.teg.pfit_a;
-    const double pb = c.teg.pfit_b;
-    const double pc = c.teg.pfit_c;
     const size_t dev_count = teg_count_;
 
     // Pass 1: power, identical to the clean kernel.
@@ -248,15 +230,7 @@ ServerBlock::evaluateFaulted(const double *utils, size_t n,
     // bit for bit; ratio 1.0 (no TEG fault) and 0.0 (open string)
     // are exact multipliers, so clean lanes lose exactly +0.0 W.
     for (size_t i = 0; i < n; ++i) {
-        const double dt = outlet[i] - t_cold;
-        double healthy = 0.0;
-        if (dt > 0.0) {
-            const double dt_eff = dt * coupling;
-            if (dt_eff > 0.0)
-                healthy = devices *
-                          std::max(0.0,
-                                   (pa * dt_eff + pb) * dt_eff + pc);
-        }
+        const double healthy = c.teg.powerFromTemps(outlet[i], t_cold);
         const bool open =
             lanes.teg_open != nullptr && lanes.teg_open[i] != 0;
         const size_t shorted =

@@ -17,15 +17,32 @@
  * safe candidate with the highest TEG power, and finally to the
  * coldest setting available.
  *
- * The search itself streams over the look-up grid through
- * LookupSpace::forEachInSlice — no candidate vector is materialized —
- * and an optional decision cache short-circuits the scheduler's
- * repeated calls: planning utilizations are quantized to
- * cache_util_quantum and the chosen setting per (quantized util,
- * T_safe) pair is memoized. The cache is an approximation knob, not
- * pure memoization — with it enabled the optimizer plans at the
- * quantized utilization — so it defaults off and the system enables
- * it through [perf] optimizer_cache_quantum.
+ * The search reads the look-up space's slice table: at the planning
+ * utilization the (flow, inlet) grid is the blend of two precomputed
+ * rows (LookupSpace::sliceRows), bit-identical to trilinear point
+ * queries. Where the space verified a flow column's T_cpu to be
+ * non-decreasing in inlet temperature, fl(T_cpu - T_safe) is too, so
+ * the band |T_cpu - T_safe| <= band is one contiguous run of inlets:
+ * two bisections with that same predicate bracket it. Only bracketed
+ * points get their outlet temperature blended and their TEG power
+ * evaluated, from per-flow TEG coefficients hoisted at construction.
+ * A column that fails the check is scanned point by point. Points are
+ * visited in the full scan's order — flow-major, then inlet ascending
+ * — and replace the incumbent only on strictly higher power, so the
+ * chosen setting on ties, |A| and the fallback flag are exactly those
+ * of scanning every point. Fallback 1 visits the safe prefix
+ * (T_cpu <= T_safe + band) of each monotone column; Fallback 2 reads
+ * only the first, coldest, inlet of each monotone column.
+ *
+ * An exact decision costs about 0.5 us (BM_OptimizerChoose, Release,
+ * shared 4-vCPU x86-64 host; the former full-slice trilinear scan took
+ * ~30 us there), so repeated calls need no memo. The optional decision cache remains for now
+ * because the benchmark harness still reports its hit/miss counters:
+ * planning utilizations are quantized to cache_util_quantum and the
+ * chosen setting per (quantized util, T_safe) pair is memoized. It is
+ * an approximation knob, not pure memoization — with it enabled the
+ * optimizer plans at the quantized utilization — so it defaults off
+ * and the system enables it through [perf] optimizer_cache_quantum.
  */
 
 #ifndef H2P_SCHED_COOLING_OPTIMIZER_H_
@@ -93,7 +110,8 @@ class CoolingOptimizer
     /**
      * @param space Look-up space of the server model (not owned; must
      *        outlive the optimizer).
-     * @param teg TEG module at each server outlet (not owned).
+     * @param teg TEG module at each server outlet (read at
+     *        construction only).
      */
     CoolingOptimizer(const LookupSpace &space,
                      const thermal::TegModule &teg,
@@ -185,11 +203,17 @@ class CoolingOptimizer
     /** The uncached three-tier grid search. */
     OptimizerResult search(double plan_util, double t_safe_c) const;
 
-    double tegPowerAt(const LookupPoint &p) const;
+    /** TEG power at flow node @p j with outlet temperature @p t_out. */
+    double tegPower(size_t j, double t_out_c) const
+    {
+        return teg_flow_[j].powerFromTemps(t_out_c,
+                                           params_.cold_source_c);
+    }
 
     const LookupSpace &space_;
-    const thermal::TegModule &teg_;
     OptimizerParams params_;
+    /** TEG coefficients per flow node of the look-up space. */
+    std::vector<thermal::TegStepCoefficients> teg_flow_;
 
     mutable std::unordered_map<CacheKey, OptimizerResult, CacheKeyHash>
         cache_;

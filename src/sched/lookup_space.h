@@ -13,6 +13,7 @@
 #ifndef H2P_SCHED_LOOKUP_SPACE_H_
 #define H2P_SCHED_LOOKUP_SPACE_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -52,8 +53,77 @@ struct LookupPoint
 };
 
 /**
+ * The slice u = const of the look-up space as a blend of the two
+ * precomputed table rows that bracket u (see LookupSpace::sliceRows).
+ * Grid point (j, k) is flow node j and inlet node k; every value is
+ * bit-identical to the trilinear point query at (u, flow(j), tin(k)).
+ * A view: valid while the LookupSpace lives.
+ */
+class SliceRows
+{
+  public:
+    size_t flowCount() const { return nf_; }
+    size_t tinCount() const { return nt_; }
+
+    /** Flow coordinate of node @p j, L/H. */
+    double flow(size_t j) const { return flows_[j]; }
+
+    /** Inlet-temperature coordinate of node @p k, C. */
+    double tin(size_t k) const { return tins_[k]; }
+
+    /** Interpolated CPU temperature at grid point (@p j, @p k), C. */
+    double cpuTemp(size_t j, size_t k) const
+    {
+        const size_t jk = j * nt_ + k;
+        return blend(cpu_lo_[jk], cpu_hi_[jk], tx_);
+    }
+
+    /** Interpolated outlet temperature at grid point (@p j, @p k), C. */
+    double outletTemp(size_t j, size_t k) const
+    {
+        const size_t jk = j * nt_ + k;
+        return blend(out_lo_[jk], out_hi_[jk], tx_);
+    }
+
+    /**
+     * True when cpuTemp(j, k) is finite and non-decreasing in k. Both
+     * bracketing rows being so is enough: the blend's products and sum
+     * round monotonically, so the blended column keeps the order.
+     */
+    bool cpuMonotone(size_t j) const
+    {
+        return mono_lo_[j] != 0 && mono_hi_[j] != 0;
+    }
+
+  private:
+    friend class LookupSpace;
+
+    const double *flows_ = nullptr;
+    const double *tins_ = nullptr;
+    const double *cpu_lo_ = nullptr;
+    const double *cpu_hi_ = nullptr;
+    const double *out_lo_ = nullptr;
+    const double *out_hi_ = nullptr;
+    const uint8_t *mono_lo_ = nullptr;
+    const uint8_t *mono_hi_ = nullptr;
+    size_t nf_ = 0;
+    size_t nt_ = 0;
+    double tx_ = 0.0;
+};
+
+/**
  * Interpolated (u, f, T_in) -> (T_CPU, T_out) space sampled from a
  * server model.
+ *
+ * Besides the trilinear grids behind the point queries, construction
+ * precomputes a slice table: for every utilization node i and every
+ * (flow, inlet) grid point, the plane value (z- then y-blend) of both
+ * grids, stored row-major [i][flow][inlet]. A slice at any u is then
+ * the blend of rows i and i + 1 with u's weight — the exact final step
+ * of the trilinear query — so slice queries cost one blend per point
+ * instead of a full trilinear interpolation. Each T_cpu column is also
+ * checked, once, for being non-decreasing in inlet temperature, which
+ * is what lets the optimizer bisect it.
  */
 class LookupSpace
 {
@@ -73,6 +143,9 @@ class LookupSpace
     /** The grid parameters. */
     const LookupSpaceParams &params() const { return params_; }
 
+    /** The slice u = @p util as two table rows and a blend weight. */
+    SliceRows sliceRows(double util) const;
+
     /**
      * Enumerate all grid points on the slice u = @p util (Fig. 13's
      * plane U), with their interpolated temperatures.
@@ -81,24 +154,24 @@ class LookupSpace
 
     /**
      * Visit every grid point of the slice u = @p util in the fixed
-     * (flow-major, then inlet temperature) order without materializing
-     * a vector — the allocation-free twin of slice(). @p fn receives
-     * each LookupPoint by const reference; the reference is only valid
-     * during the call.
+     * (flow-major, then inlet temperature ascending) order without
+     * materializing a vector. @p util is located once; each point is
+     * one blend of two table rows per temperature, bit-identical to
+     * cpuTemp()/outletTemp() at the point's coordinates. @p fn receives
+     * each LookupPoint by const reference, valid only during the call.
      */
     template <typename Fn>
     void forEachInSlice(double util, Fn &&fn) const
     {
-        const GridAxis &af = t_cpu_->yAxis();
-        const GridAxis &at = t_cpu_->zAxis();
+        const SliceRows rows = sliceRows(util);
         LookupPoint p;
         p.util = util;
-        for (size_t j = 0; j < af.count(); ++j) {
-            p.flow_lph = af.coord(j);
-            for (size_t k = 0; k < at.count(); ++k) {
-                p.t_in_c = at.coord(k);
-                p.t_cpu_c = (*t_cpu_)(util, p.flow_lph, p.t_in_c);
-                p.t_out_c = (*t_out_)(util, p.flow_lph, p.t_in_c);
+        for (size_t j = 0; j < rows.flowCount(); ++j) {
+            p.flow_lph = rows.flow(j);
+            for (size_t k = 0; k < rows.tinCount(); ++k) {
+                p.t_in_c = rows.tin(k);
+                p.t_cpu_c = rows.cpuTemp(j, k);
+                p.t_out_c = rows.outletTemp(j, k);
                 fn(static_cast<const LookupPoint &>(p));
             }
         }
@@ -111,6 +184,14 @@ class LookupSpace
     LookupSpaceParams params_;
     std::unique_ptr<LinearGrid3D> t_cpu_;
     std::unique_ptr<LinearGrid3D> t_out_;
+    /** Flow and inlet node coordinates. */
+    std::vector<double> flows_;
+    std::vector<double> tins_;
+    /** Plane values [util node][flow node][inlet node]. */
+    std::vector<double> cpu_rows_;
+    std::vector<double> out_rows_;
+    /** [util node][flow node]: T_cpu row finite and non-decreasing. */
+    std::vector<uint8_t> cpu_monotone_;
 };
 
 } // namespace sched

@@ -52,13 +52,27 @@ CpuThermalModel::dieTemperature(double p_dyn_w, double flow_lph,
 }
 
 double
-CpuThermalModel::heatToCoolant(double p_dyn_w, double flow_lph,
-                               double t_in_c, double fouling_kpw) const
+CpuThermalModel::dieTemperature(const CpuStepCoefficients &c,
+                                double p_dyn_w, double t_in_c) const
 {
-    double t_die = dieTemperature(p_dyn_w, flow_lph, t_in_c, fouling_kpw);
+    expect(p_dyn_w >= 0.0, "dynamic power must be non-negative");
+    return c.slope_k * t_in_c + p_dyn_w * c.plate_r_kpw;
+}
+
+double
+CpuThermalModel::heatFromDie(double p_dyn_w, double t_die) const
+{
     double leak =
         std::max(0.0, params_.leak_gamma * (t_die - params_.leak_ref_c));
     return p_dyn_w + leak + params_.parasitic_w;
+}
+
+double
+CpuThermalModel::heatToCoolant(double p_dyn_w, double flow_lph,
+                               double t_in_c, double fouling_kpw) const
+{
+    return heatFromDie(p_dyn_w, dieTemperature(p_dyn_w, flow_lph, t_in_c,
+                                               fouling_kpw));
 }
 
 double
@@ -76,6 +90,14 @@ CpuThermalModel::outletTemperature(double p_dyn_w, double flow_lph,
                                    double fouling_kpw) const
 {
     return t_in_c + outletDelta(p_dyn_w, flow_lph, t_in_c, fouling_kpw);
+}
+
+double
+CpuThermalModel::outletTemperature(const CpuStepCoefficients &c,
+                                   double p_dyn_w, double t_in_c) const
+{
+    double t_die = dieTemperature(c, p_dyn_w, t_in_c);
+    return t_in_c + heatFromDie(p_dyn_w, t_die) / c.cap_rate_w_per_k;
 }
 
 bool

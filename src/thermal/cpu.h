@@ -120,6 +120,17 @@ class CpuThermalModel
      */
     CpuStepCoefficients stepCoefficients(double flow_lph) const;
 
+    /**
+     * dieTemperature() and outletTemperature() on a pristine plate
+     * from one flow's hoisted coefficients @p c: the per-call results
+     * bit for bit, without re-deriving the plate resistance per point
+     * (see sched::LookupSpace).
+     */
+    double dieTemperature(const CpuStepCoefficients &c, double p_dyn_w,
+                          double t_in_c) const;
+    double outletTemperature(const CpuStepCoefficients &c,
+                             double p_dyn_w, double t_in_c) const;
+
     /** Die-to-coolant thermal resistance at @p flow_lph, K/W. */
     double plateResistance(double flow_lph,
                            double fouling_kpw = 0.0) const;
@@ -137,6 +148,9 @@ class CpuThermalModel
     const CpuThermalParams &params() const { return params_; }
 
   private:
+    /** heatToCoolant() given the die temperature. */
+    double heatFromDie(double p_dyn_w, double t_die) const;
+
     CpuThermalParams params_;
     ColdPlate plate_;
 };

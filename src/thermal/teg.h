@@ -20,6 +20,7 @@
 #ifndef H2P_THERMAL_TEG_H_
 #define H2P_THERMAL_TEG_H_
 
+#include <algorithm>
 #include <cstddef>
 
 #include "thermal/cold_plate.h"
@@ -119,6 +120,23 @@ struct TegStepCoefficients
     double pfit_a = 0.0;
     double pfit_b = 0.0;
     double pfit_c = 0.0;
+
+    /**
+     * Module power from the warm-loop outlet and cold-loop
+     * temperatures: TegModule::powerFromTemps at this flow, bit for
+     * bit (Eq. 2 + Eq. 6/7 with the Fig. 7 coupling).
+     */
+    double powerFromTemps(double t_warm_out, double t_cold) const
+    {
+        const double dt = t_warm_out - t_cold;
+        if (dt <= 0.0)
+            return 0.0;
+        const double dt_eff = dt * coupling;
+        if (dt_eff <= 0.0)
+            return 0.0;
+        return devices *
+               std::max(0.0, (pfit_a * dt_eff + pfit_b) * dt_eff + pfit_c);
+    }
 };
 
 /**

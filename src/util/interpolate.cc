@@ -54,7 +54,7 @@ LinearGrid1D::operator()(double x) const
     size_t i;
     double t;
     axis_.locate(x, i, t);
-    return values_[i] * (1.0 - t) + values_[i + 1] * t;
+    return blend(values_[i], values_[i + 1], t);
 }
 
 LinearGrid2D::LinearGrid2D(GridAxis x, GridAxis y,
@@ -81,9 +81,7 @@ LinearGrid2D::operator()(double x, double y) const
     y_.locate(y, j, ty);
     double v00 = at(i, j), v01 = at(i, j + 1);
     double v10 = at(i + 1, j), v11 = at(i + 1, j + 1);
-    double v0 = v00 * (1 - ty) + v01 * ty;
-    double v1 = v10 * (1 - ty) + v11 * ty;
-    return v0 * (1 - tx) + v1 * tx;
+    return blend(blend(v00, v01, ty), blend(v10, v11, ty), tx);
 }
 
 LinearGrid3D::LinearGrid3D(GridAxis x, GridAxis y, GridAxis z,
@@ -96,12 +94,6 @@ LinearGrid3D::LinearGrid3D(GridAxis x, GridAxis y, GridAxis z,
 }
 
 double
-LinearGrid3D::at(size_t i, size_t j, size_t k) const
-{
-    return values_[(i * y_.count() + j) * z_.count() + k];
-}
-
-double
 LinearGrid3D::operator()(double x, double y, double z) const
 {
     size_t i, j, k;
@@ -109,18 +101,8 @@ LinearGrid3D::operator()(double x, double y, double z) const
     x_.locate(x, i, tx);
     y_.locate(y, j, ty);
     z_.locate(z, k, tz);
-
-    auto lerp = [](double a, double b, double t) {
-        return a * (1 - t) + b * t;
-    };
-
-    double c00 = lerp(at(i, j, k), at(i, j, k + 1), tz);
-    double c01 = lerp(at(i, j + 1, k), at(i, j + 1, k + 1), tz);
-    double c10 = lerp(at(i + 1, j, k), at(i + 1, j, k + 1), tz);
-    double c11 = lerp(at(i + 1, j + 1, k), at(i + 1, j + 1, k + 1), tz);
-    double c0 = lerp(c00, c01, ty);
-    double c1 = lerp(c10, c11, ty);
-    return lerp(c0, c1, tx);
+    return blend(planeValue(i, j, ty, k, tz),
+                 planeValue(i + 1, j, ty, k, tz), tx);
 }
 
 } // namespace h2p

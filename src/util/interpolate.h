@@ -17,6 +17,18 @@
 namespace h2p {
 
 /**
+ * Linear blend `a * (1 - t) + b * t`: the one interpolation step every
+ * grid below is built from. Tables that precompute partial blends must
+ * finish with this exact expression to stay bit-identical to the
+ * point queries.
+ */
+inline double
+blend(double a, double b, double t)
+{
+    return a * (1 - t) + b * t;
+}
+
+/**
  * One axis of a regular grid: `count` samples evenly spaced on
  * [lo, hi]. Provides clamped fractional indexing for interpolation.
  */
@@ -93,15 +105,36 @@ class LinearGrid3D
     LinearGrid3D(GridAxis x, GridAxis y, GridAxis z,
                  std::vector<double> values);
 
-    /** Clamped trilinear interpolation at (@p x, @p y, @p z). */
+    /**
+     * Clamped trilinear interpolation at (@p x, @p y, @p z): exactly
+     * `blend(planeValue(i, ...), planeValue(i + 1, ...), tx)` with
+     * (i, tx), (j, ty), (k, tz) located on the three axes.
+     */
     double operator()(double x, double y, double z) const;
+
+    /**
+     * Bilinear value on x-plane @p i at a located (y, z) position —
+     * the z-blend then the y-blend of operator(). (@p j, @p ty) and
+     * (@p k, @p tz) come from yAxis().locate() and zAxis().locate(),
+     * so a caller can locate once and sweep every plane.
+     */
+    double planeValue(size_t i, size_t j, double ty, size_t k,
+                      double tz) const
+    {
+        double c0 = blend(at(i, j, k), at(i, j, k + 1), tz);
+        double c1 = blend(at(i, j + 1, k), at(i, j + 1, k + 1), tz);
+        return blend(c0, c1, ty);
+    }
 
     const GridAxis &xAxis() const { return x_; }
     const GridAxis &yAxis() const { return y_; }
     const GridAxis &zAxis() const { return z_; }
 
   private:
-    double at(size_t i, size_t j, size_t k) const;
+    double at(size_t i, size_t j, size_t k) const
+    {
+        return values_[(i * y_.count() + j) * z_.count() + k];
+    }
 
     GridAxis x_;
     GridAxis y_;

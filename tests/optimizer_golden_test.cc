@@ -93,9 +93,10 @@ hex(uint64_t v)
     return buf;
 }
 
-struct Fixture : ::testing::Test
+struct OptimizerGolden : ::testing::Test
 {
-    Fixture() : space(server), teg(12), us(planningUtils(space.params()))
+    OptimizerGolden()
+        : space(server), teg(12), us(planningUtils(space.params()))
     {
     }
 
@@ -137,7 +138,7 @@ readGolden()
     return lines;
 }
 
-TEST_F(Fixture, ExactDecisionsMatchGoldenBitForBit)
+TEST_F(OptimizerGolden, ExactDecisionsMatchGoldenBitForBit)
 {
     std::vector<std::string> got;
     for (double cold : kColdSource) {
@@ -184,7 +185,7 @@ TEST_F(Fixture, ExactDecisionsMatchGoldenBitForBit)
         EXPECT_EQ(got[i], want[i]);
 }
 
-TEST_F(Fixture, TsafeOverrideMatchesConfiguredTsafe)
+TEST_F(OptimizerGolden, TsafeOverrideMatchesConfiguredTsafe)
 {
     // choose(u, T_safe) on an optimizer configured for another T_safe
     // must reproduce the golden line of the configured optimizer.

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -344,51 +346,197 @@ TEST_F(CacheFixture, TsafeOverrideKeyedSeparately)
     EXPECT_EQ(opt.cacheHits(), 2u);
 }
 
+uint64_t
+bits(double x)
+{
+    return std::bit_cast<uint64_t>(x);
+}
+
+/**
+ * The slice u = @p u rebuilt from independent trilinear point queries
+ * (cpuTemp/outletTemp), in the search's flow-major, inlet-ascending
+ * order — the oracle for the table-backed slice and search.
+ */
+std::vector<sched::LookupPoint>
+pointQuerySlice(const sched::LookupSpace &space, double u)
+{
+    const sched::LookupSpaceParams &lp = space.params();
+    const GridAxis af(lp.flow_min_lph, lp.flow_max_lph, lp.flow_points);
+    const GridAxis at(lp.tin_min_c, lp.tin_max_c, lp.tin_points);
+    std::vector<sched::LookupPoint> pts;
+    for (size_t j = 0; j < af.count(); ++j) {
+        for (size_t k = 0; k < at.count(); ++k) {
+            sched::LookupPoint pt;
+            pt.util = u;
+            pt.flow_lph = af.coord(j);
+            pt.t_in_c = at.coord(k);
+            pt.t_cpu_c = space.cpuTemp(u, pt.flow_lph, pt.t_in_c);
+            pt.t_out_c = space.outletTemp(u, pt.flow_lph, pt.t_in_c);
+            pts.push_back(pt);
+        }
+    }
+    return pts;
+}
+
+/**
+ * The three-tier decision by a full scan of the point-query slice: the
+ * band, then the best safe point, then the coldest point.
+ */
+sched::OptimizerResult
+fullScanChoose(const sched::LookupSpace &space,
+               const thermal::TegModule &teg,
+               const sched::OptimizerParams &p, double u)
+{
+    const std::vector<sched::LookupPoint> slice = pointQuerySlice(space, u);
+    sched::OptimizerResult want;
+    bool found = false;
+    auto consider = [&](const sched::LookupPoint &pt) {
+        double power =
+            teg.powerFromTemps(pt.t_out_c, p.cold_source_c, pt.flow_lph);
+        if (!found || power > want.teg_power_w) {
+            found = true;
+            want.setting.t_in_c = pt.t_in_c;
+            want.setting.flow_lph = pt.flow_lph;
+            want.teg_power_w = power;
+            want.t_cpu_c = pt.t_cpu_c;
+        }
+    };
+    for (const sched::LookupPoint &pt : slice) {
+        if (std::abs(pt.t_cpu_c - p.t_safe_c) <= p.band_c) {
+            ++want.candidates;
+            consider(pt);
+        }
+    }
+    if (found)
+        return want;
+    want.fallback = true;
+    for (const sched::LookupPoint &pt : slice) {
+        if (pt.t_cpu_c <= p.t_safe_c + p.band_c)
+            consider(pt);
+    }
+    if (found)
+        return want;
+    const sched::LookupPoint *coldest = &slice.front();
+    for (const sched::LookupPoint &pt : slice) {
+        if (pt.t_cpu_c < coldest->t_cpu_c)
+            coldest = &pt;
+    }
+    want.setting.t_in_c = coldest->t_in_c;
+    want.setting.flow_lph = coldest->flow_lph;
+    want.teg_power_w = teg.powerFromTemps(coldest->t_out_c,
+                                          p.cold_source_c,
+                                          coldest->flow_lph);
+    want.t_cpu_c = coldest->t_cpu_c;
+    return want;
+}
+
+void
+expectSameBits(const sched::OptimizerResult &got,
+               const sched::OptimizerResult &want, double u)
+{
+    EXPECT_EQ(bits(got.setting.t_in_c), bits(want.setting.t_in_c)) << u;
+    EXPECT_EQ(bits(got.setting.flow_lph), bits(want.setting.flow_lph))
+        << u;
+    EXPECT_EQ(bits(got.teg_power_w), bits(want.teg_power_w)) << u;
+    EXPECT_EQ(bits(got.t_cpu_c), bits(want.t_cpu_c)) << u;
+    EXPECT_EQ(got.candidates, want.candidates) << u;
+    EXPECT_EQ(got.fallback, want.fallback) << u;
+}
+
 TEST_F(CacheFixture, VisitorSearchMatchesSliceReference)
 {
-    // The streaming three-tier search must reproduce the materialized
-    // slice-based reference algorithm bit for bit.
-    sched::CoolingOptimizer opt(space, teg); // cache off
-    const sched::OptimizerParams &p = opt.params();
-    for (double u = 0.0; u <= 1.0; u += 0.07) {
-        sched::OptimizerResult got = opt.choose(u);
-
-        sched::OptimizerResult want;
-        bool found = false;
-        auto consider = [&](const sched::LookupPoint &pt) {
-            double power = teg.powerFromTemps(
-                pt.t_out_c, p.cold_source_c, pt.flow_lph);
-            if (!found || power > want.teg_power_w) {
-                found = true;
-                want.setting.t_in_c = pt.t_in_c;
-                want.setting.flow_lph = pt.flow_lph;
-                want.teg_power_w = power;
-                want.t_cpu_c = pt.t_cpu_c;
-            }
-        };
-        std::vector<sched::LookupPoint> in_band;
-        for (const sched::LookupPoint &pt : space.slice(u)) {
-            if (std::abs(pt.t_cpu_c - p.t_safe_c) <= p.band_c)
-                in_band.push_back(pt);
+    // The bracketed table search must reproduce a full scan of the
+    // point-query slice bit for bit: setting, power, predicted die
+    // temperature, |A| and fallback tier. A zero band exercises the
+    // Fallback 1 scan.
+    for (double band : {1.0, 0.0}) {
+        sched::OptimizerParams params;
+        params.band_c = band;
+        sched::CoolingOptimizer opt(space, teg, params); // cache off
+        for (double u = 0.0; u <= 1.0; u += 0.07) {
+            expectSameBits(opt.choose(u),
+                           fullScanChoose(space, teg, opt.params(), u), u);
         }
-        want.candidates = in_band.size();
-        for (const sched::LookupPoint &pt : in_band)
-            consider(pt);
-        if (!found) {
-            want.fallback = true;
-            for (const sched::LookupPoint &pt : space.slice(u)) {
-                if (pt.t_cpu_c <= p.t_safe_c + p.band_c)
-                    consider(pt);
-            }
-        }
-        ASSERT_TRUE(found) << u;
+    }
+}
 
-        EXPECT_DOUBLE_EQ(got.setting.t_in_c, want.setting.t_in_c) << u;
-        EXPECT_DOUBLE_EQ(got.setting.flow_lph, want.setting.flow_lph)
-            << u;
-        EXPECT_DOUBLE_EQ(got.teg_power_w, want.teg_power_w) << u;
-        EXPECT_EQ(got.candidates, want.candidates) << u;
-        EXPECT_EQ(got.fallback, want.fallback) << u;
+TEST(LookupSpaceGuardTest, NonMonotoneColumnsFallBackToFullScan)
+{
+    // A plate resistance near the double range makes the hottest die
+    // temperatures of the low-flow columns overflow to inf, so those
+    // T_cpu rows are not finite and fail the monotonicity guard while
+    // the high-flow columns pass it. No leakage keeps the outlet
+    // temperature finite and ordinary, and a TEG whose plates resist
+    // more at higher flow makes low flow harvest most, so the best
+    // points sit in the guarded-out columns. The search must scan them
+    // and still match the full scan bit for bit, in every tier: band,
+    // best safe point and coldest point.
+    cluster::ServerParams sp;
+    sp.thermal.plate.base_resistance_kpw = 0.0;
+    sp.thermal.plate.conv_scale = 1.13e307;
+    sp.thermal.leak_gamma = 0.0;
+    cluster::Server server(sp);
+    sched::LookupSpace space(server);
+    thermal::ColdPlateParams teg_plate;
+    teg_plate.flow_exponent = -3.0;
+    thermal::TegModule teg(12, thermal::TegParams{}, teg_plate);
+
+    size_t guarded = 0, unguarded = 0;
+    for (double u = 0.0; u <= 1.0; u += 0.05) {
+        const sched::SliceRows rows = space.sliceRows(u);
+        for (size_t j = 0; j < rows.flowCount(); ++j)
+            (rows.cpuMonotone(j) ? guarded : unguarded) += 1;
+    }
+    ASSERT_GT(guarded, 0u);
+    ASSERT_GT(unguarded, 0u);
+
+    struct Case
+    {
+        double t_safe, band;
+    };
+    for (Case c :
+         {Case{1.5e308, 2e307}, Case{1.75e308, 0.0}, Case{1e300, 0.0}}) {
+        sched::OptimizerParams params;
+        params.t_safe_c = c.t_safe;
+        params.band_c = c.band;
+        sched::CoolingOptimizer opt(space, teg, params);
+        for (double u = 0.0; u <= 1.0; u += 0.03) {
+            expectSameBits(opt.choose(u),
+                           fullScanChoose(space, teg, params, u), u);
+        }
+    }
+}
+
+TEST_F(CacheFixture, SliceMatchesPointQueriesBitForBit)
+{
+    // The slice table (two-row blend) against trilinear point queries
+    // at u = k/1024, every utilization node +-1 ulp, 0 and 1.
+    std::vector<double> us;
+    for (int k = 0; k <= 1024; ++k)
+        us.push_back(static_cast<double>(k) / 1024.0);
+    const GridAxis au(0.0, 1.0, space.params().util_points);
+    for (size_t i = 0; i < au.count(); ++i) {
+        for (double u : {std::nextafter(au.coord(i), -1.0), au.coord(i),
+                         std::nextafter(au.coord(i), 2.0)}) {
+            if (u >= 0.0 && u <= 1.0)
+                us.push_back(u);
+        }
+    }
+    us.push_back(0.0);
+    us.push_back(1.0);
+    for (double u : us) {
+        const std::vector<sched::LookupPoint> got = space.slice(u);
+        const std::vector<sched::LookupPoint> want =
+            pointQuerySlice(space, u);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t n = 0; n < got.size(); ++n) {
+            ASSERT_EQ(bits(got[n].flow_lph), bits(want[n].flow_lph));
+            ASSERT_EQ(bits(got[n].t_in_c), bits(want[n].t_in_c));
+            ASSERT_EQ(bits(got[n].t_cpu_c), bits(want[n].t_cpu_c))
+                << "u=" << u << " point " << n;
+            ASSERT_EQ(bits(got[n].t_out_c), bits(want[n].t_out_c))
+                << "u=" << u << " point " << n;
+        }
     }
 }
 
