@@ -92,7 +92,7 @@ SliceRows
 LookupSpace::sliceRows(double util) const
 {
     const size_t nf = flows_.size(), nt = tins_.size();
-    size_t i;
+    size_t i = 0;
     SliceRows r;
     t_cpu_->xAxis().locate(util, i, r.tx_);
     r.flows_ = flows_.data();
