@@ -317,63 +317,72 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
     // makes it the natural home for everything order-sensitive:
     // journal appends (durable before delivery), quarantine events
     // and the streaming callback.
-    std::function<void(size_t)> emit;
     bool delivery_stopped = false;
-    if (on_result || journal != nullptr || obs != nullptr)
-        emit = [&](size_t i) {
-            SweepPointResult &slot = result.points[i];
-            if (slot.status == PointStatus::Skipped) {
-                // Delivery is a contiguous grid prefix: once a point
-                // was skipped (cancellation landed), later points that
-                // happened to finish in flight are kept in the result
-                // and the journal but not streamed.
-                delivery_stopped = true;
-                return;
-            }
-            if (slot.status == PointStatus::Quarantined &&
-                !slot.restored) {
-                quarantined_counter.add();
-                retries_counter.add(slot.attempts - 1);
-                if (slot.failure.kind == FailureKind::Timeout)
-                    timeouts_counter.add();
-                if (obs != nullptr)
-                    obs->events().append(
-                        0.0,
-                        slot.failure.step == RunFailure::kNoStep
-                            ? -1
-                            : static_cast<long>(slot.failure.step),
-                        "sweep.quarantine",
-                        slot.label.empty()
-                            ? "point " + std::to_string(i)
-                            : slot.label,
-                        slot.failure.describe());
-            } else if (slot.status == PointStatus::Completed &&
-                       !slot.restored) {
-                retries_counter.add(slot.attempts - 1);
-            }
-            if (journal != nullptr && !slot.restored) {
-                JournalPointRecord rec;
-                rec.index = i;
-                rec.status = slot.status;
-                rec.attempts = slot.attempts;
-                rec.label = slot.label;
-                rec.policy = slot.policy;
-                rec.duration_s = slot.duration_s;
-                if (slot.status == PointStatus::Completed)
-                    rec.summary = slot.summary;
-                else
-                    rec.failure = slot.failure;
-                journal->append(rec);
-            }
-            // Abort mode keeps the legacy contract: the callback only
-            // ever sees completed points; the failure surfaces as the
-            // thrown error below.
-            const bool deliver =
-                slot.completed || (slot.status == PointStatus::Quarantined &&
-                                   !options_.abort_on_failure);
-            if (on_result && deliver && !delivery_stopped)
-                on_result(slot);
-        };
+    const auto emit = [&](size_t i) {
+        SweepPointResult &slot = result.points[i];
+        // The cancel instant ends the delivered and journaled
+        // prefix: a point that finished in flight after it is
+        // discarded as if it never ran (a resume recomputes it),
+        // so the stream, the journal and the result agree under
+        // any worker count and completion order. Restored points
+        // stay; the journal already holds them.
+        if (cancel_requested() && !slot.restored) {
+            SweepPointResult skipped;
+            skipped.index = slot.index;
+            skipped.label = std::move(slot.label);
+            skipped.policy = slot.policy;
+            slot = std::move(skipped);
+        }
+        if (slot.status == PointStatus::Skipped) {
+            // Delivery is a contiguous grid prefix: nothing after
+            // a skipped point is streamed.
+            delivery_stopped = true;
+            return;
+        }
+        if (slot.status == PointStatus::Quarantined &&
+            !slot.restored) {
+            quarantined_counter.add();
+            retries_counter.add(slot.attempts - 1);
+            if (slot.failure.kind == FailureKind::Timeout)
+                timeouts_counter.add();
+            if (obs != nullptr)
+                obs->events().append(
+                    0.0,
+                    slot.failure.step == RunFailure::kNoStep
+                        ? -1
+                        : static_cast<long>(slot.failure.step),
+                    "sweep.quarantine",
+                    slot.label.empty()
+                        ? "point " + std::to_string(i)
+                        : slot.label,
+                    slot.failure.describe());
+        } else if (slot.status == PointStatus::Completed &&
+                   !slot.restored) {
+            retries_counter.add(slot.attempts - 1);
+        }
+        if (journal != nullptr && !slot.restored) {
+            JournalPointRecord rec;
+            rec.index = i;
+            rec.status = slot.status;
+            rec.attempts = slot.attempts;
+            rec.label = slot.label;
+            rec.policy = slot.policy;
+            rec.duration_s = slot.duration_s;
+            if (slot.status == PointStatus::Completed)
+                rec.summary = slot.summary;
+            else
+                rec.failure = slot.failure;
+            journal->append(rec);
+        }
+        // Abort mode keeps the legacy contract: the callback only
+        // ever sees completed points; the failure surfaces as the
+        // thrown error below.
+        const bool deliver =
+            slot.completed || (slot.status == PointStatus::Quarantined &&
+                               !options_.abort_on_failure);
+        if (on_result && deliver && !delivery_stopped)
+            on_result(slot);
+    };
 
     forEachOrdered(n, result.workers, compute, emit);
 

@@ -65,9 +65,10 @@ class SweepEngine
      * points 0..i have all finished, independent of the order the
      * workers finish them in. Under a journal, the point's record is
      * durable before the callback sees it. Under cancellation the
-     * delivered stream stays a contiguous grid prefix: nothing past
-     * the first skipped point is streamed, even if later in-flight
-     * points finished.
+     * cancel instant ends the prefix: a point whose turn comes after
+     * it is discarded (status Skipped, not journaled, not streamed)
+     * even if it finished in flight, so the delivered stream, the
+     * journal and the result hold the same contiguous grid prefix.
      */
     using ResultCallback =
         std::function<void(const SweepPointResult &)>;

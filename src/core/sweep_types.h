@@ -161,8 +161,10 @@ enum class PointStatus
      */
     Quarantined,
     /**
-     * Never ran: the sweep was cancelled before this point started.
-     * Skipped points are not journaled and re-run on resume.
+     * Never ran, or finished after the sweep was cancelled and was
+     * discarded: the sweep was cancelled before this point's turn in
+     * the grid-order prefix. Skipped points are not journaled and
+     * re-run on resume.
      */
     Skipped,
 };
