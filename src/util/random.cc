@@ -1,17 +1,58 @@
 #include "util/random.h"
 
-#include <algorithm>
-
-#include "util/error.h"
+#include <random>
 
 namespace h2p {
 
-double
-Rng::uniform(double lo, double hi)
+namespace {
+
+// MT19937-64 parameters (Nishimura 2000), as in std::mt19937_64.
+constexpr size_t kShift = 156; // m
+constexpr uint64_t kUpperMask = ~uint64_t{0} << 31; // r = 31
+constexpr uint64_t kLowerMask = ~kUpperMask;
+constexpr uint64_t kMatrixA = 0xb5026f5aa96619e9ull;
+constexpr uint64_t kInitMult = 6364136223846793005ull; // f
+
+/** One twisted word: the conditional xor of A as a mask, no branch. */
+inline uint64_t
+twist(uint64_t far, uint64_t hi, uint64_t lo)
 {
-    H2P_ASSERT(lo <= hi, "uniform bounds inverted");
-    std::uniform_real_distribution<double> dist(lo, hi);
-    return dist(engine_);
+    const uint64_t y = (hi & kUpperMask) | (lo & kLowerMask);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+}
+
+} // namespace
+
+Mt19937_64::Mt19937_64(uint64_t seed)
+{
+    state_[0] = seed;
+    for (size_t i = 1; i < kStateSize; ++i) {
+        const uint64_t x = state_[i - 1];
+        state_[i] = kInitMult * (x ^ (x >> 62)) + i;
+    }
+    refill();
+}
+
+void
+Mt19937_64::refill()
+{
+    constexpr size_t n = kStateSize;
+    for (size_t k = 0; k < n - kShift; ++k)
+        state_[k] = twist(state_[k + kShift], state_[k], state_[k + 1]);
+    for (size_t k = n - kShift; k < n - 1; ++k)
+        state_[k] =
+            twist(state_[k + kShift - n], state_[k], state_[k + 1]);
+    state_[n - 1] = twist(state_[kShift - 1], state_[n - 1], state_[0]);
+
+    for (size_t k = 0; k < n; ++k) {
+        uint64_t z = state_[k];
+        z ^= (z >> 29) & 0x5555555555555555ull;
+        z ^= (z << 17) & 0x71d67fffeda60000ull;
+        z ^= (z << 37) & 0xfff7eee000000000ull;
+        z ^= z >> 43;
+        out_[k] = z;
+    }
+    next_ = 0;
 }
 
 int
@@ -19,14 +60,6 @@ Rng::uniformInt(int lo, int hi)
 {
     H2P_ASSERT(lo <= hi, "uniformInt bounds inverted");
     std::uniform_int_distribution<int> dist(lo, hi);
-    return dist(engine_);
-}
-
-double
-Rng::normal(double mu, double sigma)
-{
-    H2P_ASSERT(sigma >= 0.0, "negative sigma");
-    std::normal_distribution<double> dist(mu, sigma);
     return dist(engine_);
 }
 
@@ -42,14 +75,6 @@ Rng::truncNormal(double mu, double sigma, double lo, double hi)
     return std::clamp(mu, lo, hi);
 }
 
-double
-Rng::exponential(double rate)
-{
-    H2P_ASSERT(rate > 0.0, "non-positive rate");
-    std::exponential_distribution<double> dist(rate);
-    return dist(engine_);
-}
-
 int
 Rng::poisson(double mean)
 {
@@ -57,14 +82,6 @@ Rng::poisson(double mean)
     if (mean == 0.0)
         return 0;
     std::poisson_distribution<int> dist(mean);
-    return dist(engine_);
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    H2P_ASSERT(p >= 0.0 && p <= 1.0, "probability out of range");
-    std::bernoulli_distribution dist(p);
     return dist(engine_);
 }
 

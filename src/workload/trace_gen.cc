@@ -71,6 +71,7 @@ TraceGenerator::generate(const TraceGenParams &params, size_t num_servers,
     UtilizationTrace trace(num_servers, dt_s);
 
     double theta = 1.0 / params.ou_tau_s;
+    double ou_decay = std::exp(-theta * dt_s);
     double ou_step_sigma =
         params.ou_sigma * std::sqrt(1.0 - std::exp(-2.0 * theta * dt_s));
     double burst_prob_per_step =
@@ -103,8 +104,7 @@ TraceGenerator::generate(const TraceGenParams &params, size_t num_servers,
                 std::sin(2.0 * M_PI * clock_s / 86400.0 + phase);
 
             // Exact OU transition over one step.
-            ou = ou * std::exp(-theta * dt_s) +
-                 rng.normal(0.0, ou_step_sigma);
+            ou = ou * ou_decay + rng.normal(0.0, ou_step_sigma);
 
             // Occasional drastic jumps.
             if (params.jump_prob > 0.0 && rng.bernoulli(params.jump_prob))
