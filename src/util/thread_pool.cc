@@ -6,6 +6,9 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "util/error.h"
 
@@ -28,6 +31,18 @@ nowNs()
 size_t
 hardwareThreads()
 {
+#if defined(__linux__)
+    // glibc's hardware_concurrency() counts online processors, not the
+    // affinity mask, so a process pinned with taskset or a cpuset would
+    // still size its pools for the whole host.
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) == 0) {
+        int usable = CPU_COUNT(&set);
+        if (usable > 0)
+            return static_cast<size_t>(usable);
+    }
+#endif
     size_t n = std::thread::hardware_concurrency();
 #if defined(_SC_NPROCESSORS_ONLN)
     if (n == 0) {

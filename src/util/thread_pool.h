@@ -38,21 +38,23 @@ namespace h2p {
 namespace util {
 
 /**
- * Hardware threads available to *this process*, always >= 1:
- * std::thread::hardware_concurrency() with a fallback to the
- * online-processor count when it reports 0 (which the standard
+ * Hardware threads available to the *calling thread*, always >= 1. On
+ * Linux this is the size of its CPU-affinity mask (sched_getaffinity),
+ * so a process pinned with taskset or confined to a cpuset sees only
+ * the CPUs it may run on; glibc's hardware_concurrency() ignores the
+ * mask. Elsewhere, or if the mask cannot be read, it falls back to
+ * std::thread::hardware_concurrency() and then to the
+ * online-processor count when that reports 0 (which the standard
  * permits). Use this to size thread pools.
  */
 size_t hardwareThreads();
 
 /**
- * Hardware threads of the *host*, always >= 1. On Linux,
- * hardware_concurrency() honors the process CPU-affinity mask, so a
- * pinned or containerized process on a multi-core machine sees 1;
- * this consults the configured-processor count as well and returns
- * the larger. Use this for reporting (bench metadata), not for
- * sizing pools — threads beyond the affinity mask cannot run in
- * parallel.
+ * Hardware threads of the *host*, always >= 1: the larger of
+ * hardwareThreads() and the configured-processor count, so a pinned
+ * process on a multi-core machine still reports the machine. Use this
+ * for reporting (bench metadata), not for sizing pools — threads
+ * beyond the affinity mask cannot run in parallel.
  */
 size_t hostHardwareThreads();
 
