@@ -3,9 +3,10 @@
  * Load generator for the digital-twin service plane: drives many
  * concurrent pipelined connections against an in-process daemon and
  * reports aggregate requests/sec plus p50/p99 latency, for both the
- * epoll reactor (service::Server) and the thread-per-connection
- * baseline it replaced (service::ThreadedServer) — so the reactor's
- * speedup is measured, not asserted.
+ * worker-pool server (service::Server, the `reactor` rows) and the
+ * thread-per-connection baseline it replaced
+ * (service::ThreadedServer) — so its speedup is measured, not
+ * asserted.
  *
  *   ./bench/service_loadgen                    # default sweep
  *   ./bench/service_loadgen --connections 64 --pipeline 8 \
@@ -418,7 +419,7 @@ main(int argc, char **argv)
     args.addLong("pipeline", 8, "requests in flight per connection");
     args.addLong("requests", 400, "timed requests per connection");
     args.addLong("warmup", 16, "untimed warmup requests per client");
-    args.addLong("workers", 4, "reactor worker threads");
+    args.addLong("workers", 4, "server worker threads");
     args.addString("mixes", "ping,query,mixed",
                    "comma-separated request mixes "
                    "(ping|query|step|mixed)");

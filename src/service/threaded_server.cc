@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <utility>
 #include <vector>
 
@@ -94,8 +95,15 @@ ThreadedServer::acceptLoop()
             reapConnections(/*all=*/false);
             continue;
         }
-        util::Fd fd = util::acceptConnection(listener_);
-        if (!fd.valid())
+        util::Fd fd;
+        const util::AcceptStatus status =
+            util::acceptConnection(listener_, fd, /*non_blocking=*/false);
+        if (status == util::AcceptStatus::Exhausted) {
+            // The listener stays readable: back off, do not spin.
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            continue;
+        }
+        if (status != util::AcceptStatus::Accepted)
             continue; // Listener torn down: loop exits via stopping_.
         auto conn = std::make_shared<Connection>();
         conn->fd = std::move(fd);

@@ -1,12 +1,13 @@
 /**
  * @file
- * The pre-reactor transport, kept as the measured baseline of
+ * The thread-per-connection transport, kept as the measured baseline of
  * bench/service_loadgen: a Unix-domain listener with one blocking
  * thread per connection, strictly serial read → handle → write per
  * connection (no pipelining, no shared I/O multiplexing).
  *
- * Production code should use service::Server (the epoll reactor);
- * this class exists so the reactor's throughput claims are measured
+ * Production code should use service::Server (run-to-completion
+ * workers on one epoll set); this class exists so that server's
+ * throughput claims are measured
  * against the architecture it replaced rather than asserted. The
  * wire protocol and broker semantics are identical.
  *
