@@ -120,6 +120,13 @@ class SessionBroker
     /** Convenience for single-response verbs: the last response. */
     Response handleOne(const Request &request);
 
+    /**
+     * True for the verbs that run no simulation of their own (ping,
+     * query, stats). A query can still wait for a step another
+     * client runs on the same twin.
+     */
+    static bool isQuick(const std::string &verb);
+
     /** Live sessions right now. */
     size_t numSessions() const;
 
