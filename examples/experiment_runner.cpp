@@ -24,7 +24,7 @@
  *   ./examples/experiment_runner --policy balance \
  *       --checkpoint run.ckpt --resume --jsonl rest.jsonl
  *
- * Example INI:
+ * `--help` lists every INI key. Example INI:
  *
  *   [datacenter]
  *   num_servers = 500
@@ -363,8 +363,11 @@ main(int argc, char **argv)
                      "non-converging point fails as config_error and "
                      "--sweep quarantines it with exact step/stage "
                      "attribution");
-        if (!args.parse(argc, argv))
+        if (!args.parse(argc, argv)) {
+            std::cout << "config keys (all optional):\n"
+                      << core::configKeyReference();
             return 0;
+        }
 
         // From here on Ctrl-C / SIGTERM cancel cooperatively instead
         // of killing mid-write; a second signal kills immediately.

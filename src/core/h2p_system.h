@@ -77,10 +77,10 @@ class H2PSystem
      * Restore a session from a checkpoint written by
      * SimSession::saveCheckpoint(). @p trace must be the trace the
      * checkpointed run was driven by and this system's configuration
-     * must match the checkpoint's (both fingerprint-verified; [perf]
-     * threads may differ — it is result-neutral). Stepping the
-     * restored session to completion reproduces the uninterrupted run
-     * bit-identically.
+     * must match the checkpoint's (both fingerprint-verified;
+     * result_neutral fields such as [perf] threads may differ).
+     * Stepping the restored session to completion reproduces the
+     * uninterrupted run bit-identically.
      */
     SimSession resumeSession(const std::string &path,
                              const workload::UtilizationTrace &trace)

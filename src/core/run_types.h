@@ -27,11 +27,11 @@ namespace h2p {
 namespace core {
 
 /**
- * Hot-path performance knobs ([perf] in INI configs). None of them
- * changes which servers/settings are simulated; threads is exactly
- * result-neutral (parallel evaluation is bit-identical to serial),
- * while the optimizer cache quantizes planning utilizations by a
- * quantum far below the control band.
+ * Hot-path performance knobs ([perf] in INI configs). threads and
+ * min_servers_per_thread are result_neutral rows of the config field
+ * table (parallel evaluation is bit-identical to serial), so resume
+ * checks ignore them; optimizer_cache_quantum shifts planning
+ * utilizations and is checked like any other field.
  */
 struct PerfParams
 {

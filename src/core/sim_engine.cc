@@ -7,6 +7,7 @@
 #include <iostream>
 #include <string>
 
+#include "core/config_io.h"
 #include "sim/channels.h"
 #include "util/bytes.h"
 #include "util/error.h"
@@ -91,19 +92,23 @@ safeModeActionName(sched::SafeModeAction a)
 //   magic "H2PCKPT1" | version u32 | payload length u64 |
 //   payload bytes | FNV-1a(payload) u64
 //
-// The payload starts with the configuration and trace fingerprints,
-// then carries every piece of mutable loop state bit-exactly (doubles
-// travel as their IEEE-754 bit patterns, never through text),
-// including the state of every declared-stateful control stage keyed
-// by stage name. Restore rejects wrong magic, unknown versions,
+// The payload starts with the per-field configuration digests
+// (core::configDigests(), each named "[section] key") and the trace
+// fingerprint, then carries every piece of mutable loop state
+// bit-exactly (doubles travel as their IEEE-754 bit patterns, never
+// through text), including the state of every declared-stateful
+// control stage keyed by stage name. Restore rejects wrong magic, unknown versions,
 // truncation, checksum mismatches and fingerprint mismatches with
-// distinct messages.
+// distinct messages; a configuration mismatch names every differing
+// field.
 //
-// Version history: v1 (PR 4) had no control-plane section; v2 adds
-// the custom-control flag and the named stage-state list.
+// Version history: v1 had no control-plane section; v2 adds the
+// custom-control flag and the named stage-state list; v3 replaces
+// the single hand-written configuration fingerprint with the
+// per-field digests.
 
 constexpr char kMagic[8] = {'H', '2', 'P', 'C', 'K', 'P', 'T', '1'};
-constexpr uint32_t kCheckpointVersion = 2;
+constexpr uint32_t kCheckpointVersion = 3;
 
 using util::ByteReader;
 using util::ByteWriter;
@@ -243,84 +248,6 @@ SimEngine::scheduler(sched::Policy policy) const
 {
     return policy == sched::Policy::TegLoadBalance ? *w_.sched_balance
                                                    : *w_.sched_original;
-}
-
-uint64_t
-SimEngine::configFingerprint() const
-{
-    const H2PConfig &c = *w_.config;
-    util::Fnv1a h;
-    h.u64(w_.dc->topologyFingerprint());
-
-    // Decision-relevant control parameters.
-    h.size(c.lookup.util_points);
-    h.f64(c.lookup.flow_min_lph);
-    h.f64(c.lookup.flow_max_lph);
-    h.size(c.lookup.flow_points);
-    h.f64(c.lookup.tin_min_c);
-    h.f64(c.lookup.tin_max_c);
-    h.size(c.lookup.tin_points);
-    h.f64(c.optimizer.t_safe_c);
-    h.f64(c.optimizer.band_c);
-    // The cache quantum changes the planned utilization (it is an
-    // approximation knob, unlike threads, which is result-neutral and
-    // deliberately excluded).
-    h.f64(c.perf.optimizer_cache_quantum);
-
-    // Fault scenario: the whole timeline derives from these.
-    const fault::FaultScenarioParams &f = c.faults;
-    h.u64(f.seed);
-    h.f64(f.pump_degrade_per_circ_year);
-    h.f64(f.pump_fail_per_circ_year);
-    h.f64(f.teg_open_per_server_year);
-    h.f64(f.teg_short_per_server_year);
-    h.f64(f.chiller_outages_per_year);
-    h.f64(f.tower_outages_per_year);
-    h.f64(f.die_sensor_faults_per_circ_year);
-    h.f64(f.flow_sensor_faults_per_circ_year);
-    h.f64(f.fouling_kpw_per_year);
-    h.f64(f.outage_duration_hours);
-    h.f64(f.sensor_fault_duration_hours);
-    h.f64(f.sensor_drift_c_per_hour);
-    h.f64(f.pump_degraded_flow_factor);
-    h.size(f.scripted.size());
-    for (const fault::FaultEvent &e : f.scripted) {
-        h.f64(e.time_s);
-        h.u64(static_cast<uint64_t>(e.kind));
-        h.size(e.circulation);
-        h.size(e.server);
-        h.f64(e.magnitude);
-        h.f64(e.duration_s);
-    }
-
-    // Degraded-mode control.
-    const sched::SafeModeParams &sm = c.safe_mode;
-    h.boolean(sm.enabled);
-    h.f64(sm.margin_c);
-    h.f64(sm.min_plausible_c);
-    h.f64(sm.max_plausible_c);
-    h.f64(sm.max_rate_c_per_s);
-    h.f64(sm.flow_tolerance);
-    h.size(sm.hold_steps);
-    h.boolean(sm.watchdog_enabled);
-    h.f64(sm.throttle_factor);
-    h.f64(sm.recovery_margin_c);
-    h.f64(sm.release_step);
-    h.f64(c.datacenter.server.thermal.max_operating_c);
-
-    // Autonomous balancer: when enabled it replaces the static
-    // balance stage, so every knob shifts the decision sequence.
-    const control::BalancerParams &b = c.balancer;
-    h.boolean(b.enabled);
-    h.f64(b.max_move);
-    h.f64(b.hysteresis);
-    h.f64(b.drain_rate);
-    h.size(b.max_pulls);
-    h.boolean(b.drain_on_fallback);
-    h.f64(b.headroom_floor_c);
-    h.size(b.max_stale_steps);
-
-    return h.digest();
 }
 
 SimSession
@@ -862,7 +789,12 @@ SimEngine::saveCheckpoint(const SimSession &s,
     expect(!s.finished_, "cannot checkpoint a finished session");
 
     ByteWriter w;
-    w.u64(configFingerprint());
+    const std::vector<FieldDigest> digests = configDigests(*w_.config);
+    w.u64(digests.size());
+    for (const FieldDigest &d : digests) {
+        w.str(d.name);
+        w.u64(d.digest);
+    }
     w.u64(s.trace_->fingerprint());
     w.u32(s.policy_ == sched::Policy::TegLoadBalance ? 1 : 0);
     w.boolean(s.resilient_);
@@ -1004,9 +936,9 @@ SimEngine::resume(const std::string &path,
 
     ByteReader head(file, sizeof(kMagic), file.size());
     uint32_t version = head.u32();
-    expect(version == kCheckpointVersion, "checkpoint version ",
-           version, " is not supported (this build reads version ",
-           kCheckpointVersion, ")");
+    expect(version == kCheckpointVersion, "checkpoint `", path,
+           "' has version ", version, "; this build reads only version ",
+           kCheckpointVersion, ", so the run cannot resume from it");
     uint64_t payload_size = head.u64();
     expect(file.size() == header_size + payload_size + 8,
            "checkpoint `", path, "' is truncated or has trailing "
@@ -1023,11 +955,15 @@ SimEngine::resume(const std::string &path,
                                  "corrupt");
 
     ByteReader r(payload, 0, payload.size());
-    uint64_t cfg_fp = r.u64();
-    expect(cfg_fp == configFingerprint(),
+    const uint64_t num_fields = r.u64();
+    std::vector<FieldDigest> saved;
+    for (uint64_t i = 0; i < num_fields; ++i)
+        saved.push_back({r.str(), r.u64()});
+    const std::string differing =
+        differingFields(saved, configDigests(*w_.config));
+    expect(differing.empty(),
            "checkpoint was taken under a different configuration "
-           "(fault scenario, safe mode, topology or optimizer "
-           "parameters differ); refusing to resume");
+           "(differing: ", differing, "); refusing to resume");
     uint64_t trace_fp = r.u64();
     expect(trace_fp == trace.fingerprint(),
            "checkpoint was taken against a different workload trace; "

@@ -364,22 +364,16 @@ class SimEngine
      * Restore a session from a checkpoint written by
      * SimSession::saveCheckpoint(). The trace must be the one the
      * checkpointed run was driven by (fingerprint-verified), and this
-     * engine's configuration must match the checkpoint's (topology,
-     * fault scenario, safe mode and result-relevant optimizer
-     * parameters; [perf] threads may differ — it is result-neutral).
+     * engine's configuration must match the checkpoint's in every
+     * field core::configDigests() covers; result_neutral fields
+     * ([perf] threads, [obs]) may differ. A mismatch names each
+     * differing field.
      */
     SimSession resume(const std::string &path,
                       const workload::UtilizationTrace &trace) const;
 
     /** The per-policy scheduler. */
     const sched::Scheduler &scheduler(sched::Policy policy) const;
-
-    /**
-     * Digest of every configuration parameter that can change run
-     * results; embedded in checkpoints to reject restores into a
-     * mismatched system.
-     */
-    uint64_t configFingerprint() const;
 
   private:
     friend class SimSession;

@@ -174,10 +174,11 @@ SweepEngine::runSupervised(const std::vector<SweepPoint> &grid,
             expect(loaded.num_points == n, "sweep journal `",
                    options_.journal_path, "' records ",
                    loaded.num_points, " points but the grid has ", n);
-            expect(loaded.fingerprint == fp.combined, "sweep journal `",
+            const std::string mismatch =
+                SweepJournal::describeMismatch(loaded.fingerprints, fp);
+            expect(mismatch.empty(), "sweep journal `",
                    options_.journal_path,
-                   "' was written by a different sweep: ",
-                   SweepJournal::describeMismatch(loaded, fp));
+                   "' was written by a different sweep: ", mismatch);
             restored = std::move(loaded.records);
             journal = std::make_unique<SweepJournal>(
                 SweepJournal::openAppend(options_.journal_path));

@@ -376,11 +376,11 @@ readSummary(const JsonValue &v, sched::Policy policy)
 void
 syncFile(std::FILE *file, const std::string &path)
 {
-    expect(std::fflush(file) == 0, "journal `", path,
-           "': flush failed: ", std::strerror(errno));
+    expectSys(std::fflush(file) == 0, "journal `", path,
+              "': flush failed");
 #if !defined(_WIN32)
-    expect(::fsync(fileno(file)) == 0, "journal `", path,
-           "': fsync failed: ", std::strerror(errno));
+    expectSys(::fsync(fileno(file)) == 0, "journal `", path,
+              "': fsync failed");
 #endif
 }
 
@@ -427,6 +427,12 @@ SweepJournal::~SweepJournal()
 
 namespace {
 
+/**
+ * Manifest format. Version 1 carried a combined fingerprint over 7
+ * configuration fields; version 2 carries one digest per field.
+ */
+constexpr uint64_t kManifestVersion = 2;
+
 std::string
 hexU64(uint64_t v)
 {
@@ -455,39 +461,29 @@ SweepJournal::createWithManifest(const std::string &path,
     j.file_ = std::fopen(path.c_str(), "wb");
     expect(j.file_ != nullptr, "cannot create sweep journal `", path,
            "': ", std::strerror(errno));
-    expect(std::fwrite(manifest.data(), 1, manifest.size(), j.file_) ==
-               manifest.size(),
-           "journal `", path, "': write failed: ", std::strerror(errno));
+    expectSys(std::fwrite(manifest.data(), 1, manifest.size(), j.file_) ==
+                  manifest.size(),
+              "journal `", path, "': write failed");
     syncFile(j.file_, path);
     return j;
 }
 
 SweepJournal
 SweepJournal::create(const std::string &path, size_t num_points,
-                     uint64_t fingerprint)
-{
-    std::ostringstream os;
-    os << "{\"type\":\"manifest\",\"version\":1,\"points\":"
-       << num_points << ",\"fingerprint\":\"" << hexU64(fingerprint)
-       << "\"}\n";
-    return createWithManifest(path, os.str());
-}
-
-SweepJournal
-SweepJournal::create(const std::string &path, size_t num_points,
                      const GridFingerprints &fingerprints)
 {
-    // Still version 1: the component keys are additive, readers that
-    // predate them ignore unknown keys and old journals without them
-    // load with has_components == false.
     std::ostringstream os;
-    os << "{\"type\":\"manifest\",\"version\":1,\"points\":"
-       << num_points << ",\"fingerprint\":\""
-       << hexU64(fingerprints.combined) << "\",\"fp_shape\":\""
-       << hexU64(fingerprints.shape) << "\",\"fp_config\":\""
-       << hexU64(fingerprints.config) << "\",\"fp_trace\":\""
+    os << "{\"type\":\"manifest\",\"version\":" << kManifestVersion
+       << ",\"points\":" << num_points << ",\"fp_shape\":\""
+       << hexU64(fingerprints.shape) << "\",\"fp_trace\":\""
        << hexU64(fingerprints.trace) << "\",\"fp_guard\":\""
-       << hexU64(fingerprints.guard) << "\"}\n";
+       << hexU64(fingerprints.guard) << "\",\"fp_config\":{";
+    for (size_t i = 0; i < fingerprints.config.size(); ++i) {
+        const FieldDigest &d = fingerprints.config[i];
+        os << (i > 0 ? "," : "") << '"' << jsonEscape(d.name) << "\":\""
+           << hexU64(d.digest) << '"';
+    }
+    os << "}}\n";
     return createWithManifest(path, os.str());
 }
 
@@ -526,10 +522,9 @@ SweepJournal::append(const JournalPointRecord &record)
     }
     os << "}\n";
     const std::string line = os.str();
-    expect(std::fwrite(line.data(), 1, line.size(), file_) ==
-               line.size(),
-           "journal `", path_,
-           "': write failed: ", std::strerror(errno));
+    expectSys(std::fwrite(line.data(), 1, line.size(), file_) ==
+                  line.size(),
+              "journal `", path_, "': write failed");
     // Durable before the result is visible downstream: one fsync per
     // point, the price of resumability.
     syncFile(file_, path_);
@@ -597,26 +592,24 @@ SweepJournal::load(const std::string &path)
             if (type == "manifest") {
                 expect(!have_manifest, "sweep journal `", path,
                        "' has more than one manifest");
-                expect(v.at("version").asNumber() == 1,
-                       "sweep journal `", path,
-                       "' has unsupported version ",
-                       v.at("version").asNumber());
+                const uint64_t version = v.at("version").asNumber();
+                expect(version != 1,
+                       "manifest version 1 was written by an older "
+                       "build that digested only part of the "
+                       "configuration; it cannot be resumed, rerun "
+                       "without --sweep-resume to start the sweep over");
+                expect(version == kManifestVersion,
+                       "unsupported manifest version ", version);
                 loaded.num_points =
                     static_cast<size_t>(v.at("points").asNumber());
-                loaded.fingerprint =
-                    parseHexU64(v.at("fingerprint").asString());
-                loaded.fingerprints.combined = loaded.fingerprint;
-                if (v.has("fp_shape")) {
-                    loaded.fingerprints.shape =
-                        parseHexU64(v.at("fp_shape").asString());
-                    loaded.fingerprints.config =
-                        parseHexU64(v.at("fp_config").asString());
-                    loaded.fingerprints.trace =
-                        parseHexU64(v.at("fp_trace").asString());
-                    loaded.fingerprints.guard =
-                        parseHexU64(v.at("fp_guard").asString());
-                    loaded.has_components = true;
-                }
+                GridFingerprints &fp = loaded.fingerprints;
+                fp.shape = parseHexU64(v.at("fp_shape").asString());
+                fp.trace = parseHexU64(v.at("fp_trace").asString());
+                fp.guard = parseHexU64(v.at("fp_guard").asString());
+                for (const auto &[name, digest] :
+                     v.at("fp_config").members)
+                    fp.config.push_back(
+                        {name, parseHexU64(digest.asString())});
                 have_manifest = true;
                 continue;
             }
@@ -666,86 +659,52 @@ SweepJournal::load(const std::string &path)
     return loaded;
 }
 
-uint64_t
-SweepJournal::gridFingerprint(const std::vector<SweepPoint> &grid)
-{
-    return gridFingerprints(grid).combined;
-}
-
 SweepJournal::GridFingerprints
 SweepJournal::gridFingerprints(const std::vector<SweepPoint> &grid)
 {
-    // `combined` interleaves every field exactly as the original
-    // single-hash gridFingerprint() did — journals written before the
-    // component digests existed must keep matching.
-    util::Fnv1a combined, shape, config, trace, guard;
-    combined.size(grid.size());
+    util::Fnv1a shape, trace, guard;
+    std::vector<util::Fnv1a> config;
+    GridFingerprints fps;
     shape.size(grid.size());
     for (const SweepPoint &p : grid) {
-        combined.str(p.label);
-        combined.u64(static_cast<uint64_t>(p.policy));
-        combined.u64(p.trace != nullptr ? p.trace->fingerprint() : 0);
-        combined.size(p.config.datacenter.num_servers);
-        combined.size(p.config.datacenter.servers_per_circulation);
-        combined.f64(p.config.datacenter.cold_source_c);
-        combined.f64(p.config.optimizer.t_safe_c);
-        combined.f64(p.config.optimizer.band_c);
-        combined.u64(p.config.faults.seed);
-        combined.boolean(p.config.safe_mode.enabled);
-        combined.f64(p.deadline_s);
-        combined.size(p.step_budget);
-
         shape.str(p.label);
         shape.u64(static_cast<uint64_t>(p.policy));
         trace.u64(p.trace != nullptr ? p.trace->fingerprint() : 0);
-        config.size(p.config.datacenter.num_servers);
-        config.size(p.config.datacenter.servers_per_circulation);
-        config.f64(p.config.datacenter.cold_source_c);
-        config.f64(p.config.optimizer.t_safe_c);
-        config.f64(p.config.optimizer.band_c);
-        config.u64(p.config.faults.seed);
-        config.boolean(p.config.safe_mode.enabled);
         guard.f64(p.deadline_s);
         guard.size(p.step_budget);
+        const std::vector<FieldDigest> fields = configDigests(p.config);
+        if (config.empty()) {
+            fps.config = fields;
+            config.resize(fields.size());
+        }
+        for (size_t i = 0; i < fields.size(); ++i)
+            config[i].u64(fields[i].digest);
     }
-    GridFingerprints fps;
-    fps.combined = combined.digest();
     fps.shape = shape.digest();
-    fps.config = config.digest();
     fps.trace = trace.digest();
     fps.guard = guard.digest();
+    for (size_t i = 0; i < config.size(); ++i)
+        fps.config[i].digest = config[i].digest();
     return fps;
 }
 
 std::string
-SweepJournal::describeMismatch(const Loaded &loaded,
+SweepJournal::describeMismatch(const GridFingerprints &journaled,
                                const GridFingerprints &expected)
 {
-    if (!loaded.has_components) {
-        return "grid fingerprint mismatch (the journal predates "
-               "component digests, so the diverging input cannot be "
-               "named — the grid differs in its shape, configuration, "
-               "traces or supervision overrides)";
-    }
     std::vector<std::string> diverged;
-    if (loaded.fingerprints.shape != expected.shape)
+    if (journaled.shape != expected.shape)
         diverged.push_back("grid shape (size, labels or policies)");
-    if (loaded.fingerprints.config != expected.config)
-        diverged.push_back("configuration (topology, thermal targets, "
-                           "fault seed or safe mode)");
-    if (loaded.fingerprints.trace != expected.trace)
+    const std::string fields =
+        differingFields(journaled.config, expected.config);
+    if (!fields.empty())
+        diverged.push_back("configuration (" + fields + ")");
+    if (journaled.trace != expected.trace)
         diverged.push_back("traces");
-    if (loaded.fingerprints.guard != expected.guard)
+    if (journaled.guard != expected.guard)
         diverged.push_back("supervision overrides (per-point deadline "
                            "or step budget)");
-    if (diverged.empty()) {
-        // Components match but the combined digest does not — only
-        // possible via hash collision in a component. Stay honest.
-        return "grid fingerprint mismatch (component digests all "
-               "match; the grids differ in a way the component hashes "
-               "collide on)";
-    }
-    std::string msg = "these sweep inputs diverge from the journal: ";
+    std::string msg;
     for (size_t i = 0; i < diverged.size(); ++i) {
         if (i > 0)
             msg += i + 1 == diverged.size() ? " and " : ", ";

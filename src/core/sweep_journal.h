@@ -3,9 +3,9 @@
  * Crash-safe sweep journal: an append-only JSONL record of a sweep's
  * progress.
  *
- * A journaled sweep writes one manifest line (grid size + a cheap
- * grid fingerprint) when it starts, then one record per *finished*
- * point — completed with its full bit-exact summary, or quarantined
+ * A journaled sweep writes one manifest line (grid size + grid
+ * digests, see gridFingerprints()) when it starts, then one record
+ * per *finished* point — completed with its full bit-exact summary, or quarantined
  * with its classified failure — each flushed and fsync'd before the
  * point's result is delivered downstream. After a crash (including
  * SIGKILL) SweepEngine::resume() loads the journal, restores the
@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "core/config_io.h"
 #include "core/sweep_types.h"
 
 namespace h2p {
@@ -61,23 +62,23 @@ class SweepJournal
 {
   public:
     /**
-     * Per-input component digests behind gridFingerprint(), stored in
-     * the manifest alongside the combined digest so a resume against
-     * the wrong inputs can say *which* of them diverged instead of
-     * just "fingerprint mismatch".
+     * Per-input digests of a sweep grid, stored in the manifest so a
+     * resume against the wrong inputs can say *which* of them
+     * diverged, down to the configuration key.
      */
     struct GridFingerprints
     {
-        /** The combined whole-grid digest (== gridFingerprint()). */
-        uint64_t combined = 0;
         /** Grid shape: size, point labels and policies. */
         uint64_t shape = 0;
-        /** Result-relevant configuration knobs of every point. */
-        uint64_t config = 0;
         /** Driving traces (workload::UtilizationTrace fingerprints). */
         uint64_t trace = 0;
         /** Per-point supervision overrides (deadline, step budget). */
         uint64_t guard = 0;
+        /**
+         * One digest per configDigests() field, each hashing that
+         * field of every point in grid order.
+         */
+        std::vector<FieldDigest> config;
     };
 
     /** Journal contents as loaded from disk. */
@@ -85,17 +86,8 @@ class SweepJournal
     {
         /** Grid size recorded in the manifest. */
         size_t num_points = 0;
-        /** Grid fingerprint recorded in the manifest. */
-        uint64_t fingerprint = 0;
-        /**
-         * Component digests from the manifest; `combined` equals
-         * `fingerprint`. All-zero components with a non-zero combined
-         * digest mean an old-format journal that never recorded them
-         * (see has_components).
-         */
+        /** Grid digests recorded in the manifest. */
         GridFingerprints fingerprints;
-        /** True when the manifest carried the component digests. */
-        bool has_components = false;
         /** Finished points by grid index (duplicates: last wins). */
         std::map<size_t, JournalPointRecord> records;
     };
@@ -108,12 +100,8 @@ class SweepJournal
 
     /**
      * Start a fresh journal at @p path (truncating any previous one)
-     * and durably write its manifest line. The combined-only overload
-     * writes a manifest without component digests (as old journals
-     * had); resume then falls back to the generic mismatch message.
+     * and durably write its manifest line.
      */
-    static SweepJournal create(const std::string &path,
-                               size_t num_points, uint64_t fingerprint);
     static SweepJournal create(const std::string &path, size_t num_points,
                                const GridFingerprints &fingerprints);
 
@@ -132,7 +120,8 @@ class SweepJournal
     /**
      * Parse a journal written by create()/append(). Tolerates exactly
      * one torn trailing line (a crash mid-append); any other
-     * malformed content raises h2p::Error naming the line.
+     * malformed content, or a manifest from an older format version,
+     * raises h2p::Error naming the line.
      */
     static Loaded load(const std::string &path);
 
@@ -140,32 +129,21 @@ class SweepJournal
     static bool exists(const std::string &path);
 
     /**
-     * Cheap deterministic digest of a sweep grid, embedded in the
-     * manifest so resume() rejects a journal from a different sweep.
-     * Hashes the grid size and, per point, the label, policy, trace
-     * fingerprint, supervision overrides and the result-relevant
-     * headline knobs (topology, thermal targets, fault seed, safe
-     * mode) — deliberately not the full configuration, which would
-     * require building each point's system just to fingerprint it.
-     */
-    static uint64_t gridFingerprint(const std::vector<SweepPoint> &grid);
-
-    /**
-     * gridFingerprint() plus its per-input component digests, computed
-     * in one pass. `combined` is bit-identical to gridFingerprint(),
-     * so journals written with either create() overload interoperate.
+     * Deterministic digests of a sweep grid, embedded in the manifest
+     * so resume() rejects a journal from a different sweep: the grid
+     * shape, the traces, the supervision overrides and every
+     * result-relevant configuration field of every point.
      */
     static GridFingerprints
     gridFingerprints(const std::vector<SweepPoint> &grid);
 
     /**
-     * Human-readable diagnosis of a manifest fingerprint mismatch:
-     * names which sweep inputs diverged (grid shape, configuration,
-     * traces, supervision overrides) when @p loaded carries component
-     * digests, or falls back to a generic message for old journals.
-     * Precondition: loaded.fingerprint != expected.combined.
+     * Human-readable diagnosis of a manifest mismatch: names which
+     * sweep inputs diverged (grid shape, traces, supervision
+     * overrides) and every differing configuration key. Empty when
+     * @p journaled and @p expected match.
      */
-    static std::string describeMismatch(const Loaded &loaded,
+    static std::string describeMismatch(const GridFingerprints &journaled,
                                         const GridFingerprints &expected);
 
   private:

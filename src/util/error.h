@@ -15,7 +15,9 @@
 #ifndef H2P_UTIL_ERROR_H_
 #define H2P_UTIL_ERROR_H_
 
+#include <cerrno>
 #include <cstddef>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -144,6 +146,23 @@ expect(bool cond, Args &&...args)
 {
     if (!cond)
         fatal(std::forward<Args>(args)...);
+}
+
+/**
+ * Check a system call's outcome; throws h2p::Error ending in
+ * strerror(errno). Pass the call's result as @p ok: it is evaluated
+ * before this body reads errno, which
+ * `expect(call() == 0, ..., std::strerror(errno))` does not promise
+ * (argument evaluation order is unspecified).
+ */
+template <typename... Args>
+void
+expectSys(bool ok, Args &&...args)
+{
+    if (!ok) {
+        const int err = errno;
+        fatal(std::forward<Args>(args)..., ": ", std::strerror(err));
+    }
 }
 
 } // namespace h2p

@@ -94,12 +94,11 @@ unixListen(const std::string &path, int backlog)
     expect(fd.valid(), "cannot create unix socket: ",
            std::strerror(errno));
     sockaddr_un addr = unixAddress(path);
-    expect(::bind(fd.get(), reinterpret_cast<const sockaddr *>(&addr),
-                  sizeof(addr)) == 0,
-           "cannot bind unix socket `", path,
-           "': ", std::strerror(errno));
-    expect(::listen(fd.get(), backlog) == 0, "cannot listen on `", path,
-           "': ", std::strerror(errno));
+    expectSys(::bind(fd.get(), reinterpret_cast<const sockaddr *>(&addr),
+                     sizeof(addr)) == 0,
+              "cannot bind unix socket `", path, "'");
+    expectSys(::listen(fd.get(), backlog) == 0, "cannot listen on `",
+              path, "'");
     return fd;
 }
 
@@ -110,10 +109,10 @@ unixConnect(const std::string &path)
     expect(fd.valid(), "cannot create unix socket: ",
            std::strerror(errno));
     sockaddr_un addr = unixAddress(path);
-    expect(::connect(fd.get(),
-                     reinterpret_cast<const sockaddr *>(&addr),
-                     sizeof(addr)) == 0,
-           "cannot connect to `", path, "': ", std::strerror(errno));
+    expectSys(::connect(fd.get(),
+                        reinterpret_cast<const sockaddr *>(&addr),
+                        sizeof(addr)) == 0,
+              "cannot connect to `", path, "'");
     return fd;
 }
 
@@ -209,9 +208,8 @@ setNonBlocking(const Fd &fd)
     int flags = ::fcntl(fd.get(), F_GETFL, 0);
     expect(flags >= 0, "fcntl(F_GETFL) failed: ",
            std::strerror(errno));
-    expect(::fcntl(fd.get(), F_SETFL, flags | O_NONBLOCK) == 0,
-           "fcntl(F_SETFL, O_NONBLOCK) failed: ",
-           std::strerror(errno));
+    expectSys(::fcntl(fd.get(), F_SETFL, flags | O_NONBLOCK) == 0,
+              "fcntl(F_SETFL, O_NONBLOCK) failed");
 }
 
 IoStatus
@@ -296,9 +294,9 @@ Poller::add(const Fd &fd, uint32_t interest, uint64_t key)
     epoll_event ev{};
     ev.events = epollMask(interest);
     ev.data.u64 = key;
-    expect(::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd.get(), &ev) ==
-               0,
-           "epoll_ctl(ADD) failed: ", std::strerror(errno));
+    expectSys(::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd.get(), &ev) ==
+                  0,
+              "epoll_ctl(ADD) failed");
 }
 
 void
@@ -307,17 +305,17 @@ Poller::modify(const Fd &fd, uint32_t interest, uint64_t key)
     epoll_event ev{};
     ev.events = epollMask(interest);
     ev.data.u64 = key;
-    expect(::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, fd.get(), &ev) ==
-               0,
-           "epoll_ctl(MOD) failed: ", std::strerror(errno));
+    expectSys(::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, fd.get(), &ev) ==
+                  0,
+              "epoll_ctl(MOD) failed");
 }
 
 void
 Poller::remove(const Fd &fd)
 {
-    expect(::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, fd.get(),
-                       nullptr) == 0,
-           "epoll_ctl(DEL) failed: ", std::strerror(errno));
+    expectSys(::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, fd.get(),
+                          nullptr) == 0,
+              "epoll_ctl(DEL) failed");
 }
 
 uint64_t

@@ -1,14 +1,21 @@
 /**
  * @file
  * Tests for the configuration stack: the argument parser, the INI
- * parser, and the H2PConfig binding.
+ * parser, the H2PConfig binding, and the config field table behind
+ * the checkpoint and sweep-journal resume checks.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "core/config_io.h"
+#include "core/sweep_engine.h"
 #include "sim/config.h"
 #include "util/args.h"
 #include "util/error.h"
@@ -349,6 +356,189 @@ TEST(ConfigIoTest, ConfiguredSystemRuns)
     auto trace = core::makeTrace(core::traceRequestFromIni(ini));
     auto r = sys.run(trace, sched::Policy::TegLoadBalance);
     EXPECT_GT(r.summary.avg_teg_w, 2.0);
+}
+
+// ------------------------------------------------------ field table
+
+std::string
+fieldName(const core::ConfigField &f)
+{
+    return std::string("[") + f.section + "] " + f.key;
+}
+
+TEST(ConfigFieldTable, KeyReferenceListsEveryRow)
+{
+    const std::string doc = core::configKeyReference();
+    size_t rows = 0;
+    const auto listed = [&](const core::ConfigField &f, const auto &) {
+        ++rows;
+        EXPECT_NE(doc.find(fieldName(f) + "  " + f.doc), std::string::npos)
+            << fieldName(f);
+    };
+    const core::H2PConfig cfg;
+    const core::TraceRequest req;
+    core::forEachConfigField(cfg, listed);
+    core::forEachTraceField(req, listed);
+    EXPECT_EQ(static_cast<size_t>(std::count(doc.begin(), doc.end(), '\n')),
+              rows);
+}
+
+TEST(ConfigFieldTable, NegativeCountIsRejectedNamingTheKey)
+{
+    // A cast used to wrap -1 to SIZE_MAX: `[lookup] flow_points = -3`
+    // threw std::length_error and `[balancer] max_pulls = -1` meant
+    // "unbounded". Every unsigned row must refuse it by name.
+    std::vector<core::ConfigField> counts;
+    const auto collect = [&counts](const core::ConfigField &f,
+                                   const auto &value) {
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_unsigned_v<T> && !std::is_same_v<T, bool>)
+            counts.push_back(f);
+    };
+    const core::H2PConfig cfg;
+    const core::TraceRequest req;
+    core::forEachConfigField(cfg, collect);
+    core::forEachTraceField(req, collect);
+    EXPECT_GE(counts.size(), 15u);
+
+    for (const core::ConfigField &f : counts) {
+        std::stringstream ss(std::string("[") + f.section + "]\n" + f.key +
+                             " = -1\n");
+        const sim::Config ini = sim::Config::parse(ss);
+        try {
+            core::configFromIni(ini);
+            core::traceRequestFromIni(ini);
+            ADD_FAILURE() << fieldName(f) << " = -1 was accepted";
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find(fieldName(f)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+/** Move a field to the nearest different value of its type. */
+template <typename T>
+void
+nudge(T &value)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        value = !value;
+    else if constexpr (std::is_same_v<T, double>)
+        value = std::nextafter(value,
+                               std::numeric_limits<double>::infinity());
+    else if constexpr (std::is_same_v<T, std::string>)
+        value += "_nudged";
+    else
+        value += 1;
+}
+
+/** RAII temp-file path cleaned up on scope exit. */
+struct TempPath
+{
+    explicit TempPath(const std::string &name) : path(name) {}
+    ~TempPath() { std::remove(path.c_str()); }
+    std::string path;
+};
+
+std::string
+recorderJsonl(const core::RunResult &result)
+{
+    std::ostringstream os;
+    result.recorder->writeJsonl(os);
+    return os.str();
+}
+
+TEST(ConfigFieldTable, EveryRowGuardsCheckpointAndJournalResume)
+{
+    // Each row nudged in turn: a result-relevant field must make both
+    // resume checks refuse and name exactly that key; a result_neutral
+    // one must resume into the same recorder bytes. A row added to the
+    // table is covered here without a new test.
+    core::H2PConfig base;
+    base.datacenter.num_servers = 40;
+    base.datacenter.servers_per_circulation = 20;
+    base.perf.min_servers_per_thread = 1; // let threads = 2 fan out
+    workload::TraceGenerator gen(21);
+    // Wider than the fleet, so num_servers + 1 still has a trace.
+    const workload::UtilizationTrace trace = gen.generate(
+        workload::TraceGenParams::forProfile(
+            workload::TraceProfile::Drastic),
+        48, 3600.0);
+    const auto gridOf = [&trace](const core::H2PConfig &cfg) {
+        core::SweepPoint point;
+        point.config = cfg;
+        point.trace = &trace;
+        point.label = "base";
+        return std::vector<core::SweepPoint>{point};
+    };
+
+    const TempPath ckpt("config_test_rows.ckpt");
+    const TempPath journal("config_test_rows.jsonl");
+    std::string base_jsonl;
+    {
+        core::H2PSystem sys(base);
+        core::SimSession session =
+            sys.startSession(trace, sched::Policy::TegLoadBalance);
+        for (size_t i = 0; i < 4; ++i)
+            session.step();
+        session.saveCheckpoint(ckpt.path);
+        session.runToCompletion();
+        base_jsonl = recorderJsonl(session.finish());
+    }
+    core::SweepOptions options;
+    options.keep_recorders = false;
+    options.journal_path = journal.path;
+    core::SweepEngine engine(options);
+    engine.run(gridOf(base));
+
+    const auto errorOf = [](const auto &resume) {
+        try {
+            resume();
+        } catch (const Error &e) {
+            return std::string(e.what());
+        }
+        return std::string("(accepted)");
+    };
+
+    size_t rows = 0, neutral = 0;
+    for (bool more = true; more; ++rows) {
+        core::H2PConfig cfg = base;
+        core::ConfigField field{};
+        size_t i = 0;
+        core::forEachConfigField(cfg, [&](const core::ConfigField &f,
+                                          auto &value) {
+            if (i++ == rows) {
+                field = f;
+                nudge(value);
+            }
+        });
+        more = rows + 1 < i;
+        const std::string name = fieldName(field);
+        SCOPED_TRACE(name);
+        core::H2PSystem sys(cfg);
+        if (field.result_neutral) {
+            ++neutral;
+            core::SimSession session =
+                sys.resumeSession(ckpt.path, trace);
+            session.runToCompletion();
+            EXPECT_EQ(recorderJsonl(session.finish()), base_jsonl);
+            EXPECT_NO_THROW(engine.resume(gridOf(cfg)));
+            continue;
+        }
+        const std::string ckpt_error =
+            errorOf([&] { sys.resumeSession(ckpt.path, trace); });
+        EXPECT_NE(ckpt_error.find("(differing: " + name + ")"),
+                  std::string::npos)
+            << ckpt_error;
+        const std::string journal_error =
+            errorOf([&] { engine.resume(gridOf(cfg)); });
+        EXPECT_NE(journal_error.find("configuration (" + name + ")"),
+                  std::string::npos)
+            << journal_error;
+    }
+    EXPECT_GE(rows, 66u);
+    EXPECT_EQ(neutral, 7u);
 }
 
 } // namespace

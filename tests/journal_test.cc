@@ -153,8 +153,10 @@ TEST(JournalTest, RecordsRoundTripBitExactly)
     bad.failure.stage = "evaluate";
     bad.failure.message = "teg=inf W\ttab and \"quotes\"";
 
+    core::SweepJournal::GridFingerprints fp;
+    fp.shape = 0xabcdef0011223344u;
     {
-        auto j = core::SweepJournal::create(jp.path, 8, 0xabcdef0011223344u);
+        auto j = core::SweepJournal::create(jp.path, 8, fp);
         j.append(done);
         j.append(bad);
         j.close();
@@ -162,7 +164,7 @@ TEST(JournalTest, RecordsRoundTripBitExactly)
 
     auto loaded = core::SweepJournal::load(jp.path);
     EXPECT_EQ(loaded.num_points, 8u);
-    EXPECT_EQ(loaded.fingerprint, 0xabcdef0011223344u);
+    EXPECT_EQ(loaded.fingerprints.shape, 0xabcdef0011223344u);
     ASSERT_EQ(loaded.records.size(), 2u);
 
     const core::JournalPointRecord &d = loaded.records.at(3);
@@ -204,7 +206,7 @@ TEST(JournalTest, LoadToleratesTornTailOnly)
 {
     TempPath jp("journal_test_torn.jsonl");
     {
-        auto j = core::SweepJournal::create(jp.path, 4, 99);
+        auto j = core::SweepJournal::create(jp.path, 4, {});
         core::JournalPointRecord rec;
         rec.index = 0;
         rec.status = core::PointStatus::Completed;
@@ -402,7 +404,9 @@ TEST(JournalTest, MismatchMessageNamesTheDivergedInput)
     auto tweaked = makeGrid(trace, 3);
     tweaked[1].config.optimizer.t_safe_c += 1.0;
     std::string msg = mismatchMessage(tweaked);
-    EXPECT_NE(msg.find("configuration"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("configuration ([optimizer] t_safe_c)"),
+              std::string::npos)
+        << msg;
     EXPECT_EQ(msg.find("traces"), std::string::npos) << msg;
     EXPECT_EQ(msg.find("grid shape"), std::string::npos) << msg;
 
@@ -436,49 +440,36 @@ TEST(JournalTest, MismatchMessageNamesTheDivergedInput)
     EXPECT_NE(msg.find("traces"), std::string::npos) << msg;
 }
 
-TEST(JournalTest, OldFormatJournalFallsBackToGenericMismatch)
+TEST(JournalTest, VersionOneJournalIsRefusedWithRerunAdvice)
 {
     TempPath jp("journal_test_mismatch_legacy.jsonl");
     auto trace = makeTrace();
     auto grid = makeGrid(trace, 3);
 
-    // A combined-only manifest, as journals wrote before component
-    // digests existed.
-    {
-        auto journal = core::SweepJournal::create(
-            jp.path, grid.size(),
-            core::SweepJournal::gridFingerprint(grid));
-    }
-    auto loaded = core::SweepJournal::load(jp.path);
-    EXPECT_FALSE(loaded.has_components);
-    EXPECT_EQ(loaded.fingerprint,
-              core::SweepJournal::gridFingerprint(grid));
-
-    // A matching grid still resumes against the old format...
+    // A version-1 manifest digested only 7 configuration fields, so
+    // even a "matching" one may hide a changed key: never resume it.
+    writeFile(jp.path, "{\"type\":\"manifest\",\"version\":1,"
+                       "\"points\":3,\"fingerprint\":"
+                       "\"0x0000000000000001\"}\n");
     core::SweepOptions options;
     options.keep_recorders = false;
     options.journal_path = jp.path;
     core::SweepEngine engine(options);
-    auto result = engine.resume(grid);
-    EXPECT_EQ(result.points.size(), 3u);
-
-    // ...but a diverging one gets the generic, honest message.
-    {
-        auto journal = core::SweepJournal::create(
-            jp.path, grid.size(),
-            core::SweepJournal::gridFingerprint(grid));
-    }
-    auto tweaked = makeGrid(trace, 3);
-    tweaked[0].config.optimizer.t_safe_c += 1.0;
     try {
-        engine.resume(tweaked);
-        ADD_FAILURE() << "resume accepted a diverging grid";
+        engine.resume(grid);
+        ADD_FAILURE() << "resume accepted a version-1 journal";
     } catch (const Error &e) {
         const std::string msg = e.what();
-        EXPECT_NE(msg.find("predates component digests"),
+        EXPECT_NE(msg.find("manifest version 1"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("rerun without --sweep-resume"),
                   std::string::npos)
             << msg;
     }
+
+    // A fresh run over the same path starts the sweep over.
+    EXPECT_EQ(engine.run(grid).points.size(), 3u);
+    EXPECT_EQ(engine.resume(grid).points.size(), 3u);
 }
 
 TEST(JournalTest, ComponentDigestsRoundTripThroughTheManifest)
@@ -487,19 +478,22 @@ TEST(JournalTest, ComponentDigestsRoundTripThroughTheManifest)
     auto trace = makeTrace();
     auto grid = makeGrid(trace, 3);
     const auto fp = core::SweepJournal::gridFingerprints(grid);
-    // The combined component digest is the legacy fingerprint.
-    EXPECT_EQ(fp.combined, core::SweepJournal::gridFingerprint(grid));
     {
         auto journal =
             core::SweepJournal::create(jp.path, grid.size(), fp);
     }
     auto loaded = core::SweepJournal::load(jp.path);
-    EXPECT_TRUE(loaded.has_components);
-    EXPECT_EQ(loaded.fingerprint, fp.combined);
     EXPECT_EQ(loaded.fingerprints.shape, fp.shape);
-    EXPECT_EQ(loaded.fingerprints.config, fp.config);
     EXPECT_EQ(loaded.fingerprints.trace, fp.trace);
     EXPECT_EQ(loaded.fingerprints.guard, fp.guard);
+    // One digest per configuration field, every one named and equal.
+    EXPECT_EQ(loaded.fingerprints.config.size(), fp.config.size());
+    EXPECT_EQ(core::differingFields(loaded.fingerprints.config,
+                                    fp.config),
+              "");
+    EXPECT_EQ(core::SweepJournal::describeMismatch(loaded.fingerprints,
+                                                   fp),
+              "");
 }
 
 TEST(JournalTest, FreshRunTruncatesOldJournal)

@@ -372,6 +372,35 @@ TEST(SessionBroker, CheckpointResumeReproducesTheRunByteForByte)
     EXPECT_NE(close.body.find("\"pre\":"), std::string::npos);
 }
 
+TEST(SessionBroker, ResumeRefusesAChangedConfigNamingTheKey)
+{
+    TempPath ckpt("service_test_resume_changed.ckpt");
+    service::SessionBroker broker;
+    service::Response open =
+        broker.handleOne(makeRequest("open", {"balance"}, kIni));
+    ASSERT_TRUE(open.ok) << open.message;
+    ASSERT_TRUE(
+        broker.handleOne(makeRequest("step", {open.args[0], "30"})).ok);
+    ASSERT_TRUE(broker
+                    .handleOne(makeRequest(
+                        "checkpoint", {open.args[0], ckpt.path}))
+                    .ok);
+
+    service::Response same =
+        broker.handleOne(makeRequest("resume", {ckpt.path}, kIni));
+    ASSERT_TRUE(same.ok) << same.message;
+    EXPECT_EQ(same.args[1], "30");
+
+    const std::string changed =
+        std::string(kIni) + "[server]\ntegs_per_server = 24\n";
+    service::Response refused =
+        broker.handleOne(makeRequest("resume", {ckpt.path}, changed));
+    EXPECT_FALSE(refused.ok);
+    EXPECT_NE(refused.message.find("[server] tegs_per_server"),
+              std::string::npos)
+        << refused.message;
+}
+
 TEST(SessionBroker, SweepStreamsPointsThenDone)
 {
     const std::string body = std::string(kIni) + "---\n" + kIni;
@@ -487,6 +516,31 @@ TEST(ServiceServer, MalformedHeaderGetsErrorButConnectionSurvives)
     ASSERT_TRUE(service::readFrame(fd, payload));
     EXPECT_FALSE(service::Response::parse(payload).ok);
     // Same connection still works afterwards.
+    service::writeFrame(fd, makeRequest("ping").serialize());
+    ASSERT_TRUE(service::readFrame(fd, payload));
+    EXPECT_TRUE(service::Response::parse(payload).ok);
+}
+
+TEST(ServiceServer, NegativeCountInOpenIsAnErrorAndTheDaemonLives)
+{
+    // `flow_points = -3` used to wrap to SIZE_MAX, throw
+    // std::length_error past the broker's Error handler and abort the
+    // daemon with every session in it.
+    TempPath socket("service_test_negative.sock");
+    service::SessionBroker broker;
+    service::Server server(socket.path, &broker);
+
+    util::Fd fd = util::unixConnect(socket.path);
+    service::writeFrame(
+        fd, makeRequest("open", {"balance"},
+                        std::string(kIni) + "[lookup]\nflow_points = -3\n")
+                .serialize());
+    std::string payload;
+    ASSERT_TRUE(service::readFrame(fd, payload));
+    const service::Response open = service::Response::parse(payload);
+    EXPECT_FALSE(open.ok);
+    EXPECT_NE(open.message.find("[lookup] flow_points"), std::string::npos)
+        << open.message;
     service::writeFrame(fd, makeRequest("ping").serialize());
     ASSERT_TRUE(service::readFrame(fd, payload));
     EXPECT_TRUE(service::Response::parse(payload).ok);
@@ -1059,6 +1113,20 @@ TEST(UtilSocket, UnixListenRefusesLivePathAndReclaimsStale)
     // is stale, and the next bind reclaims it.
     util::Fd reclaimed = util::unixListen(path.path);
     EXPECT_TRUE(reclaimed.valid());
+}
+
+TEST(UtilSocket, ConnectFailureReportsTheSyscallsErrno)
+{
+    // errno must be read after connect() sets it, not before (the
+    // message used to end in "Success").
+    try {
+        util::unixConnect("service_test_no_such.sock");
+        ADD_FAILURE() << "connected to a missing socket";
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find("No such file or directory"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(UtilSocket, UnixListenNeverTouchesANonSocketFile)
